@@ -39,6 +39,7 @@ from .liouville import (
     LindbladModel,
     Superoperator,
     TensorSumModel,
+    TensorSumStructure,
     build_liouvillian,
     channel_at,
     check_channel,
@@ -91,12 +92,14 @@ from .models import (
 )
 from .spectral import (
     SpectralReport,
+    Spectrum,
     asymptotic_projector,
     decay_constants,
     is_primitive,
     norm_bracket,
     occupied_decay_rate,
     spectral_report,
+    spectrum,
     stationary_state,
 )
 

@@ -29,8 +29,6 @@ from .matcore import (
     require_square,
 )
 
-MATRIX_UNIT_BASIS = "matrix-units-row-major"
-
 HERMITICITY_TOL = 1e-10
 
 
@@ -43,18 +41,37 @@ def unvec(x: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128).reshape(dim, dim)
 
 
+@dataclass(frozen=True)
+class TensorSumStructure:
+    """Declares that a generator on n_sites copies of C^d equals
+
+        kron(W, W.conj()) (sum_i id x ... x L_site x ... x id) kron(W, W.conj())^dag,
+
+    the tensor sum of one site generator conjugated by the basis unitary W
+    (None for the identity).  The spectral layer builds eigendata from it and
+    certifies them on the dense matrix, so a wrong declaration costs a dense
+    eigendecomposition, never a wrong number.
+    """
+
+    site: "LindbladModel"
+    n_sites: int
+    unitary: Optional[np.ndarray] = None
+
+
 @dataclass
 class LindbladModel:
     """A GKLS generator: optional Hamiltonian plus a list of Lindblad operators.
 
     All operators must be dim x dim; the Hamiltonian, when present, must be
-    Hermitian within HERMITICITY_TOL.
+    Hermitian within HERMITICITY_TOL.  ``structure`` optionally declares the
+    generator a (conjugated) tensor sum; build_liouvillian passes it on.
     """
 
     dim: int
     hamiltonian: Optional[np.ndarray] = None
     lindblad_ops: list = field(default_factory=list)
     label: str = ""
+    structure: Optional[TensorSumStructure] = None
 
     def __post_init__(self):
         d = int(self.dim)
@@ -79,14 +96,23 @@ class LindbladModel:
 
 @dataclass
 class Superoperator:
-    """Dense d^2 x d^2 matrix representation of a linear map on d x d matrices."""
+    """Dense d^2 x d^2 matrix representation of a linear map on d x d matrices.
+
+    The matrix is read-only (a writable input is copied), so the spectrum the
+    spectral layer caches on first use can never go stale.
+    """
 
     dim: int
     matrix: np.ndarray
-    basis: str = MATRIX_UNIT_BASIS
+    structure: Optional[TensorSumStructure] = None
+    _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix = as_cmatrix(self.matrix, "superoperator matrix")
+        M = as_cmatrix(self.matrix, "superoperator matrix")
+        if M.flags.writeable or not M.flags.c_contiguous:
+            M = np.array(M, order="C")
+        M.flags.writeable = False
+        self.matrix = M
         require_square(self.matrix, "superoperator matrix")
         if self.matrix.shape[0] != self.dim * self.dim:
             raise ShapeError(
@@ -126,6 +152,12 @@ class TensorSumModel:
                     raise ShapeError(f"placement index {i} outside 0..{self.n_sites - 1}")
 
 
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """Mark a freshly built matrix read-only, so Superoperator takes it uncopied."""
+    M.flags.writeable = False
+    return M
+
+
 def site_operator(op: np.ndarray, site: int, n_sites: int, d: int) -> np.ndarray:
     """Embed a single-site operator at the given site; site 0 is the leftmost factor."""
     op = as_cmatrix(op)
@@ -152,13 +184,12 @@ def build_liouvillian(model: LindbladModel) -> Superoperator:
         K = dagger(L) @ L
         M += np.kron(L, L.conj())
         M -= 0.5 * (np.kron(K, eye) + np.kron(eye, K.T))
-    return Superoperator(d, M)
+    return Superoperator(d, _frozen(M), structure=model.structure)
 
 
 def superop_matrix(
     action: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    basis: str = MATRIX_UNIT_BASIS,
     check_linearity: bool = True,
     tol: float = 1e-9,
     seed: int = 0,
@@ -170,8 +201,6 @@ def superop_matrix(
     """
     d = int(dim)
     check_cap(d * d)
-    if basis != MATRIX_UNIT_BASIS:
-        raise ShapeError(f"unsupported operator basis {basis!r}")
     M = np.zeros((d * d, d * d), dtype=np.complex128)
     E = np.zeros((d, d), dtype=np.complex128)
     for a in range(d):
@@ -190,7 +219,7 @@ def superop_matrix(
             scale = max(1.0, float(np.abs(rhs).max()))
             if np.abs(lhs - rhs).max() > tol * scale:
                 raise ShapeError("action is not linear within tolerance")
-    return Superoperator(d, M, basis)
+    return Superoperator(d, _frozen(M))
 
 
 def _swap_permutation(d: int) -> np.ndarray:
@@ -202,7 +231,7 @@ def dual_superop(S: Superoperator) -> Superoperator:
     """Heisenberg-picture dual: satisfies tr[A S*(B)] = tr[S(A) B] for all A, B."""
     p = _swap_permutation(S.dim)
     M = S.matrix.T[np.ix_(p, p)]
-    return Superoperator(S.dim, M, S.basis)
+    return Superoperator(S.dim, _frozen(M))
 
 
 def channel_at(L: Superoperator, t: float) -> Superoperator:
@@ -210,11 +239,14 @@ def channel_at(L: Superoperator, t: float) -> Superoperator:
     t = float(t)
     if t < 0:
         raise ValueError("channel_at requires t >= 0")
-    return Superoperator(L.dim, mat_exp(L.matrix, t), L.basis)
+    return Superoperator(L.dim, _frozen(mat_exp(L.matrix, t)))
 
 
 def tensor_sum(model: TensorSumModel) -> Superoperator:
-    """Explicit matrix of sum_i (id x ... x L x ... x id) over the placement."""
+    """Explicit matrix of sum_i (id x ... x L x ... x id) over the placement.
+
+    With every site placed once, the result carries its TensorSumStructure, so
+    its spectrum is built from the site generator's."""
     site = model.site_model
     d = site.dim
     n = model.n_sites
@@ -233,6 +265,7 @@ def tensor_sum(model: TensorSumModel) -> Superoperator:
         hamiltonian=H if has_h else None,
         lindblad_ops=ops,
         label=f"tensor_sum[{site.label or 'site'} x {n}]",
+        structure=TensorSumStructure(site, n) if sorted(model.placement) == list(range(n)) else None,
     )
     return build_liouvillian(joint)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ModelFormatError, NumericalError, ShapeError
-from .liouville import LindbladModel, build_liouvillian, site_operator
+from .liouville import LindbladModel, TensorSumStructure, build_liouvillian, site_operator
 from .matcore import ginibre
 
 SCHEMA_VERSION = 1
@@ -136,7 +136,10 @@ def stabilizer_operators(g: GraphSpec) -> list[np.ndarray]:
 def graph_state_model(g: GraphSpec) -> LindbladModel:
     """Dissipative graph-state preparation: one Lindblad operator per vertex,
     L_k = sqrt(gamma) Z_k (1 - S_k)/2, each acting on the vertex and its
-    neighborhood.  The unique stationary state is the graph state."""
+    neighborhood.  The unique stationary state is the graph state.
+
+    In the graph basis (graph_basis_unitary) L_k is amplitude damping on qubit
+    k, and the model carries that TensorSumStructure."""
     n = g.n_vertices
     if n > GRAPH_EXPLICIT_MAX_VERTICES:
         raise CapExceededError(
@@ -150,7 +153,8 @@ def graph_state_model(g: GraphSpec) -> LindbladModel:
         Zk = site_operator(_SZ, k, n, 2)
         ops.append(np.sqrt(g.gamma) * Zk @ (eye - S) / 2.0)
     label = f"graph_state(n={n}, edges={list(g.edges)}, gamma={g.gamma})"
-    return LindbladModel(dim=D, lindblad_ops=ops, label=label)
+    structure = TensorSumStructure(amplitude_damping_model(g.gamma), n, graph_basis_unitary(g))
+    return LindbladModel(dim=D, lindblad_ops=ops, label=label, structure=structure)
 
 
 def graph_basis_unitary(g: GraphSpec) -> np.ndarray:

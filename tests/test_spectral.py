@@ -241,6 +241,8 @@ class TestDefectiveRoute:
         with pytest.warns(UserWarning, match="Jordan index"):
             lo, up = decay_constants(S, nu)
         assert lo > 0 and np.isfinite(up)
+        # the values from before the polynomial sum moved to log space
+        assert (lo, up) == (pytest.approx(0.08838834764831843, rel=1e-12), pytest.approx(1.3464965655480357, rel=1e-12))
         # translate the contraction-level constants back to matrix-norm level
         # and check them against the explicit exponential
         P0 = np.zeros((4, 4), dtype=complex)
@@ -250,6 +252,21 @@ class TestDefectiveRoute:
             nrm = operator_norm(mat_exp(S.matrix, t) - P0)
             assert 8 * np.sqrt(d) * lo * np.exp(-1.0 * t) <= nrm + 1e-12
             assert nrm <= 2 / np.sqrt(d) * up * np.exp(-nu * t) + 1e-12
+
+    def test_overflowing_upper_constant_raises(self):
+        # d = 13: a kernel plus one Jordan chain through all 168 decaying modes
+        from qmixing.liouville import Superoperator
+
+        side = 169
+        M = np.diag(np.r_[0.0, -np.ones(side - 1)]).astype(complex)
+        M[np.arange(1, side - 1), np.arange(2, side)] = 1.0
+        S = Superoperator(13, M)
+        with pytest.warns(UserWarning, match="Jordan index"):
+            lo, up = decay_constants(S, 0.5)
+        assert 0.0 < lo and np.isfinite(up)
+        # close to the gap the polynomial factor's supremum is about e^766
+        with pytest.warns(UserWarning, match="Jordan index"), pytest.raises(NumericalError, match="float range"):
+            decay_constants(S, 0.99)
 
     def test_kernel_ambiguity_detected(self):
         from qmixing.liouville import Superoperator
