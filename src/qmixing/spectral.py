@@ -2,8 +2,8 @@
 projection, primitivity, Jordan diagnostics, and instance-specific decay
 constants bracketing the trace-norm contraction.
 
-Every query reads one Spectrum per generator matrix, computed on the first
-query and cached (see ``spectrum``).  Generators that carry a
+Every query reads one Spectrum per generator, computed on the first query
+and cached on it (see ``spectrum``).  Generators that carry a
 TensorSumStructure get eigendata built from the site generator's and
 certified by their residual on the dense matrix; the others get one dense
 eigendecomposition.
@@ -17,9 +17,7 @@ clustered eigenvalues.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -41,8 +39,6 @@ SINGULAR_V_TOL = 1e-8
 # Structured eigendata are accepted when their residual is at most this
 # times max(||L||, 1); otherwise the dense eigendecomposition is used.
 STRUCTURE_RESIDUAL_TOL = 1e-10
-# Spectra kept for generators with equal matrices built as separate objects.
-SPECTRUM_CACHE_SIZE = 8
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
@@ -169,31 +165,16 @@ def _structured_spectrum(L: Superoperator, scale: float) -> Optional[Spectrum]:
     return Spectrum(lam, residual, scale, float(sv[0]) ** n, float(sv[-1]) ** n, V[:, k].copy(), factors)
 
 
-_SPECTRA: OrderedDict = OrderedDict()
-
-
 def spectrum(L: Superoperator) -> Spectrum:
     """The Spectrum of L, built on the first query and cached on L.
 
-    Superoperators with equal matrices (and both structured, or both not)
-    share one Spectrum while it is among the last SPECTRUM_CACHE_SIZE used.
     The cache cannot go stale: a Superoperator's matrix is read-only.
     """
-    spec = L._spectrum
-    if spec is None:
-        key = (L.structure is not None, L.matrix.shape, hashlib.blake2b(L.matrix).digest())
-        spec = _SPECTRA.pop(key, None)
-        if spec is None:
-            scale = operator_norm(L.matrix)
-            if L.structure is not None:
-                spec = _structured_spectrum(L, scale)
-            if spec is None:
-                spec = _dense_spectrum(L.matrix, scale)
-        _SPECTRA[key] = spec
-        if len(_SPECTRA) > SPECTRUM_CACHE_SIZE:
-            _SPECTRA.popitem(last=False)
-        L._spectrum = spec
-    return spec
+    if L._spectrum is None:
+        scale = operator_norm(L.matrix)
+        spec = _structured_spectrum(L, scale) if L.structure is not None else None
+        L._spectrum = spec if spec is not None else _dense_spectrum(L.matrix, scale)
+    return L._spectrum
 
 
 def _memo(spec: Spectrum, key: tuple, compute):
@@ -302,15 +283,7 @@ class PrimitivityResult(NamedTuple):
 def _kernel(spec: Spectrum, dim: int, tol: float) -> tuple[int, Optional[np.ndarray]]:
     """Kernel dimension and, when it is one, the unit-trace state spanning the
     kernel (None if that representative is traceless)."""
-    ktol = _abs_tol(tol, spec.scale)
-    absw = np.abs(spec.eigenvalues)
-    if ((absw > ktol) & (absw <= 10.0 * ktol)).any():
-        raise NumericalError(
-            "ambiguous kernel dimension: eigenvalues sit at the tolerance boundary"
-        )
-    n_kernel = int((absw <= ktol).sum())
-    if n_kernel == 0:
-        raise NumericalError("no zero eigenvalue found; input is not a Liouvillian")
+    n_kernel = int((np.abs(spec.eigenvalues) <= _abs_tol(tol, spec.scale)).sum())
     if n_kernel != 1:
         return n_kernel, None
     rho = herm_part(unvec(spec.kernel_vector, dim))
@@ -319,7 +292,15 @@ def _kernel(spec: Spectrum, dim: int, tol: float) -> tuple[int, Optional[np.ndar
 
 
 def _primitivity(spec: Spectrum, dim: int, tol: float) -> PrimitivityResult:
+    ktol = _abs_tol(tol, spec.scale)
+    absw = np.abs(spec.eigenvalues)
+    if ((absw > ktol) & (absw <= 10.0 * ktol)).any():
+        raise NumericalError(
+            "ambiguous kernel dimension: eigenvalues sit at the tolerance boundary"
+        )
     n_kernel, witness = _kernel(spec, dim, tol)
+    if n_kernel == 0:
+        raise NumericalError("no zero eigenvalue found; input is not a Liouvillian")
     per, _ = _peripheral(spec, tol)
     if n_kernel != 1 or per.sum() > 1 or witness is None:
         return PrimitivityResult(False, witness)
@@ -598,16 +579,17 @@ def occupied_decay_rate(
     psi = validate_state(psi, "psi")
     if psi.shape[0] != L.dim:
         raise ShapeError(f"psi must be {L.dim}x{L.dim}")
-    spec = spectrum(L)
-    scale = spec.scale  # the dual is a permuted transpose: same norm
     v_psi = vec(psi)
+    dual = dual_superop(L).matrix
+    # the dual is a permuted adjoint of L: the same norm, and the conjugates of its eigenvalues
+    scale = operator_norm(dual)
     if np.linalg.norm(L.matrix @ v_psi) > max(1e-8 * max(scale, 1.0), 1e-12):
         raise StateError("psi is not stationary for L")
-    n_kernel = int((np.abs(spec.eigenvalues) <= _abs_tol(tol, scale)).sum())
+    es = eig(dual)
+    wd, Vd = es.eigenvalues, es.right_vectors
+    n_kernel = int((np.abs(wd) <= _abs_tol(tol, scale)).sum())
     if n_kernel != 1:
         raise StateError(f"stationary state is not unique (kernel dimension {n_kernel})")
-    dual = eig(dual_superop(L).matrix)
-    wd, Vd = dual.eigenvalues, dual.right_vectors
     sv = np.linalg.svd(Vd, compute_uv=False)
     if sv[-1] <= 1e-10 or sv[0] / sv[-1] > 1e10:
         raise NumericalError("ill-conditioned mode decomposition of the dual")

@@ -275,6 +275,14 @@ class TestDefectiveRoute:
         with pytest.raises(NumericalError):
             is_primitive(Superoperator(2, M))
 
+    def test_stationary_state_counts_kernel_without_band_check(self):
+        # a mode just above the kernel tolerance makes primitivity ambiguous,
+        # not the one-dimensional kernel
+        from qmixing.liouville import Superoperator
+
+        M = np.diag([0.0, -5e-9, -1.0, -2.0]).astype(complex)
+        np.testing.assert_allclose(stationary_state(Superoperator(2, M)), np.diag([1.0, 0.0]), atol=1e-15)
+
 
 class TestBracketAgainstOptimizer:
     def test_norm_bracket_contains_eta_estimate(self):

@@ -1,14 +1,11 @@
 """One cached Spectrum per generator, and spectra built from tensor-sum structure."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmixing import spectral
 from qmixing.liouville import (
     LindbladModel,
     Superoperator,
@@ -48,11 +45,6 @@ def structured_cases():
 
 
 CASES = structured_cases()
-
-
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    monkeypatch.setattr(spectral, "_SPECTRA", OrderedDict())
 
 
 @pytest.mark.parametrize("label,build,gamma,n", CASES, ids=[c[0] for c in CASES])
@@ -130,6 +122,16 @@ def test_wrong_structure_falls_back_to_dense():
     assert spectral_report(wrong).gap == pytest.approx(0.5, abs=1e-8)
 
 
+def test_spectrum_belongs_to_its_generator():
+    # an equal matrix queried first, under a wrong declaration, does not decide
+    # which spectrum a correctly declared generator gets
+    L = build_liouvillian(graph_state_model(path_graph(3, 1.0)))
+    wrong = Superoperator(L.dim, L.matrix, structure=TensorSumStructure(amplitude_damping_model(1.0), 3))
+    assert not spectrum(wrong).structured
+    assert spectrum(L).structured
+    assert spectrum(L) is spectrum(L)
+
+
 def test_partial_placement_carries_no_structure():
     site = amplitude_damping_model(1.0)
     assert tensor_sum(TensorSumModel(site, 2)).structure is not None
@@ -156,21 +158,16 @@ def every_query(L):
     decay_constants(L, rep.gap / 2)
 
 
-def test_one_dense_eig_per_generator(monkeypatch, fresh_cache):
+def test_one_dense_eig_per_generator(monkeypatch):
     calls = count_eig(monkeypatch)
     every_query(build_liouvillian(random_gkls_model(3, 2, seed=11)))
     assert calls == [(9, 9)]
 
 
-def test_structured_generator_eigendecomposes_only_its_site(monkeypatch, fresh_cache):
+def test_structured_generator_eigendecomposes_only_its_site(monkeypatch):
     calls = count_eig(monkeypatch)
     every_query(build_liouvillian(graph_state_model(star_graph(3, 1.0))))
     assert calls == [(4, 4)]
-
-
-def test_equal_matrices_share_one_spectrum(fresh_cache):
-    model = random_gkls_model(2, 2, seed=5)
-    assert spectrum(build_liouvillian(model)) is spectrum(build_liouvillian(model))
 
 
 def test_matrix_is_read_only_and_owned():
